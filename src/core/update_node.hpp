@@ -165,17 +165,6 @@ struct UpdateNode {
   /// transition (and with it the right to free the storage).
   bool try_claim_release() noexcept { return claim_release(reclaim.load()); }
 
-  /// Destruction-time (quiescent tries only) release: wins exactly once
-  /// regardless of state or outstanding pins.
-  bool force_release() noexcept {
-    uint64_t w = reclaim.load();
-    for (;;) {
-      if ((w & kStateMask) == kStateReleased) return false;
-      if (reclaim.compare_exchange_weak(w, (w & ~kStateMask) | kStateReleased))
-        return true;
-    }
-  }
-
  private:
   bool claim_release(uint64_t w) noexcept {
     while ((w & kStateMask) == kStateRetired && (w / kPinUnit) == 0) {

@@ -225,11 +225,18 @@ class CompressedBitTrie {
   /// Validated scan over the seqlock version: the epoch reader spins out
   /// write windows (odd versions), so an unchanged even bracket means no
   /// write STARTED or COMPLETED inside it — the walk observed one state.
+  /// Once the bounded retries are spent, the walk is redone under the
+  /// write mutex, like ordered_read's fallback: no write can run while it
+  /// is held, so that walk observes one state too and the scan is always
+  /// atomic. (Its successor steps never fall back themselves: with the
+  /// writers excluded, every bracket validates.)
   ScanResult range_scan_validated(Key lo, Key hi, std::size_t limit,
                                   std::vector<Key>& out,
                                   uint32_t max_retries = kDefaultScanRetries) {
     assert(lo >= 0 && lo < u_ && hi >= lo);
-    return epoch_validated_scan(
+    const Key top = hi < u_ ? hi : u_ - 1;
+    const std::size_t base = out.size();
+    ScanResult r = epoch_validated_scan(
         *this,
         [this] {
           uint64_t v;
@@ -238,7 +245,13 @@ class CompressedBitTrie {
           }
           return v;
         },
-        lo, hi < u_ ? hi : u_ - 1, limit, out, max_retries);
+        lo, top, limit, out, max_retries);
+    if (r.atomic) return r;
+    out.resize(base);
+    std::lock_guard lock(mu_);
+    r.n = successor_range_scan(*this, lo, top, limit, out);
+    r.atomic = true;
+    return r;
   }
 
   /// Exact at quiescence; conservative (never false-positive-empty)

@@ -35,7 +35,9 @@ namespace lfbt::reclaim {
 class ChunkStore {
  public:
   struct Chunk {
-    Chunk* next;
+    // Atomic because a losing pop() may still read it while the winner
+    // (or the arena that now owns the chunk) rewrites it.
+    std::atomic<Chunk*> next;
     std::size_t payload;  // usable bytes in data[]; always a power of two
     alignas(std::max_align_t) char data[1];  // flexible tail
   };
@@ -60,10 +62,8 @@ class ChunkStore {
     }
     const std::size_t payload = std::size_t{1} << fit;
     const std::size_t total = sizeof(Chunk) + payload;
-    auto* c = static_cast<Chunk*>(
-        ::operator new(total, std::align_val_t{kCacheLine}));
-    c->next = nullptr;
-    c->payload = payload;
+    auto* c = ::new (::operator new(total, std::align_val_t{kCacheLine}))
+        Chunk{nullptr, payload, {}};
     MemStats::add_reserved(MemClass::kArenaChunk, total);
     MemStats::on_acquire(MemClass::kArenaChunk, /*recycled=*/false);
     return c;
@@ -84,7 +84,7 @@ class ChunkStore {
     ebr::Guard g;
     for (int b = 0; b < kBuckets; ++b) {
       for (Chunk* c = head_of(b).load(std::memory_order_acquire); c != nullptr;
-           c = c->next) {
+           c = c->next.load(std::memory_order_relaxed)) {
         ++n;
       }
     }
@@ -107,8 +107,9 @@ class ChunkStore {
     // thread re-enters the list only through ebr::retire, i.e. after every
     // guard alive at its pop has been dropped.
     while (c != nullptr &&
-           !head.compare_exchange_weak(c, c->next, std::memory_order_acq_rel,
-                                       std::memory_order_acquire)) {
+           !head.compare_exchange_weak(
+               c, c->next.load(std::memory_order_relaxed),
+               std::memory_order_acq_rel, std::memory_order_acquire)) {
     }
     return c;
   }
@@ -117,7 +118,7 @@ class ChunkStore {
     auto& head = head_of(fit_bucket(c->payload));
     Chunk* h = head.load(std::memory_order_relaxed);
     do {
-      c->next = h;
+      c->next.store(h, std::memory_order_relaxed);
     } while (!head.compare_exchange_weak(h, c, std::memory_order_release,
                                          std::memory_order_relaxed));
   }

@@ -1,4 +1,4 @@
-// Process-wide memory accounting for the reclamation subsystem.
+// Memory accounting for the reclamation subsystem.
 //
 // Every pooled allocation class (query nodes, notify nodes, update nodes,
 // announcement cells, arena chunks) reports three monotone event counters
@@ -15,9 +15,19 @@
 //                      fresh slab space. recycled/acquired close to 1 is
 //                      the steady-state signature the soak harness checks.
 //
-// Counters are process-wide (pools are process-wide), always-on (the soak
-// smoke test in CI runs against release builds), relaxed, and padded so
-// the write-heavy classes do not false-share.
+// The event counters are per thread slot (sync/thread_registry.hpp):
+// every pooled acquire and release bumps them, so a process-wide counter
+// would be a cache line that every core writes on every operation. Only
+// the slot's owner writes its counters, with a relaxed load + store
+// rather than a locked read-modify-write; they are atomics only so that
+// snapshot() may read them concurrently, and it sums the slots. A slot's
+// counters pass to its next owner with the slot, so the sums stay exact
+// across thread exits. bytes_reserved stays a single global word per
+// class: it changes only when a slab or chunk is carved.
+//
+// All counters are always on (the soak smoke test in CI runs against
+// release builds) and relaxed: a snapshot taken while other threads run
+// is approximate, one taken after joining them is exact.
 #pragma once
 
 #include <atomic>
@@ -25,6 +35,7 @@
 #include <cstdint>
 
 #include "sync/cacheline.hpp"
+#include "sync/thread_registry.hpp"
 
 namespace lfbt {
 
@@ -77,29 +88,30 @@ class MemStats {
   };
 
   static void add_reserved(MemClass c, std::size_t bytes) noexcept {
-    cell(c).bytes_reserved.fetch_add(bytes, std::memory_order_relaxed);
+    reserved(c).fetch_add(bytes, std::memory_order_relaxed);
   }
 
   /// One object handed out; `recycled` when it came from a free list.
   static void on_acquire(MemClass c, bool recycled) noexcept {
-    Cell& k = cell(c);
-    k.acquired.fetch_add(1, std::memory_order_relaxed);
-    if (recycled) k.recycled.fetch_add(1, std::memory_order_relaxed);
+    Counters& k = own(c);
+    bump(k.acquired);
+    if (recycled) bump(k.recycled);
   }
 
   /// One object returned (counted when the release is *requested*, i.e. at
   /// ebr::retire time, not when the grace period expires).
-  static void on_release(MemClass c) noexcept {
-    cell(c).released.fetch_add(1, std::memory_order_relaxed);
-  }
+  static void on_release(MemClass c) noexcept { bump(own(c).released); }
 
   static ClassSnapshot snapshot(MemClass c) noexcept {
-    const Cell& k = cell(c);
     ClassSnapshot s;
-    s.bytes_reserved = k.bytes_reserved.load(std::memory_order_relaxed);
-    s.acquired = k.acquired.load(std::memory_order_relaxed);
-    s.released = k.released.load(std::memory_order_relaxed);
-    s.recycled = k.recycled.load(std::memory_order_relaxed);
+    s.bytes_reserved = reserved(c).load(std::memory_order_relaxed);
+    const int n = ThreadRegistry::high_water();
+    for (int t = 0; t < n; ++t) {
+      const Counters& k = slots()[t].cls[static_cast<int>(c)];
+      s.acquired += k.acquired.load(std::memory_order_relaxed);
+      s.released += k.released.load(std::memory_order_relaxed);
+      s.recycled += k.recycled.load(std::memory_order_relaxed);
+    }
     return s;
   }
 
@@ -118,16 +130,32 @@ class MemStats {
   }
 
  private:
-  struct alignas(kCacheLine) Cell {
-    std::atomic<std::uint64_t> bytes_reserved{0};
+  struct Counters {
     std::atomic<std::uint64_t> acquired{0};
     std::atomic<std::uint64_t> released{0};
     std::atomic<std::uint64_t> recycled{0};
   };
+  struct alignas(kCacheLine) SlotCounters {
+    Counters cls[kNumMemClasses];
+  };
 
-  static Cell& cell(MemClass c) noexcept {
-    static Cell cells[kNumMemClasses];
-    return cells[static_cast<int>(c)];
+  // Owner-only writer: no locked RMW needed.
+  static void bump(std::atomic<std::uint64_t>& v) noexcept {
+    v.store(v.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
+  }
+
+  static Counters& own(MemClass c) noexcept {
+    return slots()[ThreadRegistry::id()].cls[static_cast<int>(c)];
+  }
+
+  static SlotCounters* slots() noexcept {
+    static SlotCounters s[kMaxThreads];
+    return s;
+  }
+
+  static std::atomic<std::uint64_t>& reserved(MemClass c) noexcept {
+    static PaddedAtomic<std::uint64_t> r[kNumMemClasses];
+    return r[static_cast<int>(c)].value;
   }
 };
 

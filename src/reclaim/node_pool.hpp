@@ -1,20 +1,38 @@
-// RecyclePool: the QueryNodePool recipe (PR 4, lists/pall.hpp) as a
-// reusable template — a process-wide, EBR-backed free list over immortal
-// slab storage, one instantiation per hot allocation class (query nodes,
-// notify nodes, update nodes, announcement cells).
+// RecyclePool: an EBR-backed free list over immortal slab storage, one
+// instantiation per hot allocation class (query nodes, notify nodes,
+// update nodes, announcement cells, version nodes).
 //
-// The recipe, restated once here instead of per class:
-//  * acquire() pops the free list under an ebr::Guard (taken internally).
-//    The guard makes the pop ABA-free: a node re-enters the list only
-//    through ebr::retire + a full grace period, which cannot elapse while
-//    the popping thread's guard is live — so the popped node's free-link
-//    is stable for the duration of the compare-exchange.
+// Each pool has two tiers, after Bonwick & Adams's per-CPU magazines
+// ("Magazines and Vmem", USENIX ATC 2001):
+//  * a per-thread-slot cache (sync/thread_registry.hpp) of two magazines
+//    of kMagazine nodes each, touched only by the slot's owner — no
+//    guard, no CAS, no shared cache line;
+//  * a shared Treiber stack that takes what the caches cannot hold.
+// Post-grace hand-backs (the ebr deleter behind release(), and
+// recycle_now()) push onto the calling thread's cache. When both of its
+// magazines are full, one of them is spilled to the shared stack as one
+// chain with one CAS. acquire() pops the cache first and falls back
+// to a guarded pop of the shared stack, then to carving a slab.
+//
+// The recipe:
+//  * The shared pop runs under an ebr::Guard (taken internally), which
+//    makes it ABA-free: a node re-enters the shared stack only through
+//    ebr::retire + a full grace period, which cannot elapse while the
+//    popping thread's guard is live — so the popped node's free-link is
+//    stable for the duration of the compare-exchange.
+//  * The caches keep that argument intact through one rule: a node
+//    enters a cache only from a post-grace hand-back. acquire() never
+//    moves a node it popped from the shared stack into a cache; that node
+//    goes to the caller and comes back only through release() and a new
+//    grace period. So every node on the shared stack, spilled or not,
+//    crossed a grace period after it last left it.
 //  * release() requires the node to be *physically detached* from every
 //    shared structure (list unlinks completed, no new references
 //    creatable). The grace period then outlasts every thread that could
 //    still hold a stale reference from an older traversal. There is
 //    deliberately no push-without-grace: an immediate re-push would
-//    reintroduce the ABA window acquire() relies on being closed.
+//    reintroduce the ABA window acquire() relies on being closed, and
+//    would hand a cached node to a new owner under a stale reader.
 //  * Recycled nodes are handed back with stale fields; the caller resets
 //    them individually (never destroy + placement-new, which would end
 //    and restart atomic members' lifetimes with non-atomic stores while a
@@ -25,6 +43,13 @@
 //    node as reachable, and pointer-identity schemes (generation
 //    counters, pin words) stay sound because storage never returns to
 //    the general heap.
+//
+// Cache bounds. A slot's cache holds at most kCacheCapacity nodes per
+// pool, so the caches together hold at most kCacheCapacity x pools x
+// live slots nodes that the shared stack cannot see. A cache belongs to
+// its thread slot, not its thread: when a thread exits, its cache passes
+// to the next thread that claims the slot, as its EBR limbo does. A
+// cache therefore never strands nodes beyond that bound.
 //
 // Traits contract:
 //   struct XTraits {
@@ -39,10 +64,12 @@
 #include <atomic>
 #include <cstddef>
 #include <new>
+#include <utility>
 
 #include "reclaim/mem_stats.hpp"
 #include "sync/cacheline.hpp"
 #include "sync/ebr.hpp"
+#include "sync/thread_registry.hpp"
 
 namespace lfbt::reclaim {
 
@@ -56,9 +83,20 @@ class RecyclePool {
     bool recycled;  // true => fields are stale, caller must reset them
   };
 
-  /// Pop a recycled node or carve + blank-construct a fresh one. Safe
-  /// with or without an enclosing ebr::Guard (takes its own).
+  /// Nodes one thread slot's cache can hold: two magazines.
+  static constexpr std::size_t kMagazine = 32;
+  static constexpr std::size_t kCacheCapacity = 2 * kMagazine;
+
+  /// Pop a recycled node (own cache, then the shared stack) or carve +
+  /// blank-construct a fresh one. Safe with or without an enclosing
+  /// ebr::Guard (the shared pop takes its own).
   static Acquired acquire() {
+    ThreadCache& c = own_cache();
+    if (c.loaded.count == 0) std::swap(c.loaded, c.spare);
+    if (c.loaded.count != 0) {
+      MemStats::on_acquire(Traits::kClass, /*recycled=*/true);
+      return {c.loaded.pop(), true};
+    }
     {
       ebr::Guard g;
       Node* n = free_head().load(std::memory_order_acquire);
@@ -87,7 +125,7 @@ class RecyclePool {
     ebr::retire(n, [](void* p) { push_free(static_cast<Node*>(p)); });
   }
 
-  /// Push a node straight onto the free list, skipping release()'s
+  /// Hand a node straight back to the free list, skipping release()'s
   /// ebr::retire. Only legal from a context that is itself past a grace
   /// period for the node (an ebr deleter of a retire that followed the
   /// node's detachment) — callers who composed extra teardown work into
@@ -153,13 +191,53 @@ class RecyclePool {
                                                 std::memory_order_relaxed));
   }
 
+  /// A LIFO run of nodes linked through Traits' free link. `tail` is the
+  /// bottom node, kept so that a full magazine can be spilled in one CAS.
+  struct Magazine {
+    Node* head = nullptr;
+    Node* tail = nullptr;
+    std::size_t count = 0;
+
+    void push(Node* n) {
+      Traits::set_free_link(n, head);
+      if (count++ == 0) tail = n;
+      head = n;
+    }
+    Node* pop() {
+      Node* n = head;
+      head = Traits::free_link(n);
+      --count;
+      return n;
+    }
+  };
+
+  struct alignas(kCacheLine) ThreadCache {  // owner-thread only
+    Magazine loaded;
+    Magazine spare;
+  };
+
+  /// Post-grace hand-back: onto the calling thread's cache. With both
+  /// magazines full, the spare goes to the shared stack first.
   static void push_free(Node* n) {
+    ThreadCache& c = own_cache();
+    if (c.loaded.count == kMagazine) {
+      if (c.spare.count == kMagazine) spill(c.spare);
+      std::swap(c.loaded, c.spare);
+    }
+    c.loaded.push(n);
+  }
+
+  /// Move a whole magazine onto the shared stack with one CAS. A push
+  /// has no ABA hazard: the CAS only checks that `head` is still the
+  /// node the chain's tail was linked to.
+  static void spill(Magazine& m) {
     Node* head = free_head().load(std::memory_order_relaxed);
     do {
-      Traits::set_free_link(n, head);
-    } while (!free_head().compare_exchange_weak(head, n,
+      Traits::set_free_link(m.tail, head);
+    } while (!free_head().compare_exchange_weak(head, m.head,
                                                 std::memory_order_release,
                                                 std::memory_order_relaxed));
+    m = Magazine{};
   }
 
   // Statics live behind functions so each is cache-line padded without
@@ -170,6 +248,10 @@ class RecyclePool {
     };
     static P p;
     return p.v;
+  }
+  static ThreadCache& own_cache() noexcept {
+    static ThreadCache caches[kMaxThreads];
+    return caches[ThreadRegistry::id()];
   }
   static std::atomic<Slab*>& slab() noexcept {
     struct P {

@@ -267,29 +267,43 @@ class TrieCore {
   NodeArena& arena() noexcept { return *arena_; }
 
   /// Destruction-time drain (owner's destructor, trie quiescent by
-  /// contract): force-release every pooled update node still resident in
-  /// the latest lists or dNodePtr slots, so trie create/destroy churn
-  /// reaches a steady state instead of growing the pools by each dead
-  /// trie's resident set. A node may sit in several slots at once (one
-  /// latest list + many dNodePtr levels); the state-word CAS inside
-  /// force_release dedups the hand-back. Arena nodes (dummies) are
-  /// skipped — the arena retires their chunks wholesale.
+  /// contract): hand every pooled update node still resident in the
+  /// latest lists or dNodePtr slots back to its pool, so trie
+  /// create/destroy churn reaches a steady state instead of growing the
+  /// pools by each dead trie's resident set.
+  ///
+  /// Quiescence covers this trie's operations, not the notify-chain
+  /// drains of its retired query announcements: those run after a grace
+  /// period, possibly on another thread's EBR limbo and after this
+  /// destructor, and each drops the pins its notifications hold on
+  /// update nodes. So a resident node is not freed regardless of pins;
+  /// it takes the ordinary path instead — retire it, then drop the
+  /// residency pin of every dNodePtr slot holding it — and whichever
+  /// unpin comes last, here or in a late drain, releases it. A node may
+  /// sit in several slots at once (one latest list + many dNodePtr
+  /// levels); the state-word CAS inside mark_retired dedups the retire.
+  /// The guard keeps every node released here unrecycled until the walk
+  /// is done.
   void drain_resident_for_destruction() {
-    auto hand_back = [](UpdateNode* u) {
-      if (u != nullptr && u->pooled() && u->force_release()) {
-        release_update_to_pool(u);
-      }
+    ebr::Guard g;
+    auto retire = [](UpdateNode* u) {
+      if (u != nullptr) retire_update(u);
     };
     for (uint64_t x = 0; x < static_cast<uint64_t>(u_); ++x) {
       UpdateNode* u = latest_[x].load(std::memory_order_relaxed);
       while (u != nullptr) {
         UpdateNode* next = u->latest_next.load(std::memory_order_relaxed);
-        hand_back(u);
+        retire(u);
         u = next;
       }
     }
     for (uint64_t t = 1; t < leaf_base_; ++t) {
-      hand_back(dnodeptr_[t].load(std::memory_order_relaxed));
+      retire(dnodeptr_[t].load(std::memory_order_relaxed));
+    }
+    for (uint64_t t = 1; t < leaf_base_; ++t) {
+      if (DelNode* d = dnodeptr_[t].load(std::memory_order_relaxed)) {
+        unpin_update(d);
+      }
     }
   }
 

@@ -1,6 +1,7 @@
 #include "sync/ebr.hpp"
 
 #include <array>
+#include <chrono>
 #include <thread>
 
 namespace lfbt::ebr {
@@ -10,6 +11,11 @@ namespace {
 // only grows, so 0 never collides with a real epoch.
 constexpr uint64_t kIdle = 0;
 constexpr int kCollectEvery = 64;
+// Limbo backpressure (see Guard::Guard). Unstalled threads stay well
+// below the cap (docs/DESIGN.md, "Sync substrates", has measurements);
+// it binds while some guard holder is stalled.
+constexpr std::size_t kLimboSoftCap = 4096;
+constexpr auto kBackoffSleep = std::chrono::microseconds(20);
 
 struct Retired {
   void* ptr;
@@ -37,11 +43,20 @@ struct alignas(kCacheLine) ThreadState {  // owner-thread only
   int since_collect = 0;
   bool sweeping = false;
   std::vector<Retired> limbo;
+  // limbo.size(), mirrored after every change so that pending() can read
+  // it from other threads. Only the owner stores it (and drain_unsafe,
+  // which runs at quiescence), so the per-retire bookkeeping stays on the
+  // owner's line instead of one process-wide counter that every retiring
+  // core would write.
+  std::atomic<std::size_t> pending{0};
+
+  void sync_pending() {
+    pending.store(limbo.size(), std::memory_order_relaxed);
+  }
 };
 
 std::atomic<uint64_t> g_epoch{1};
 std::array<ThreadState, kMaxThreads> g_threads;
-std::atomic<std::size_t> g_pending{0};
 
 ThreadState& self() { return g_threads[ThreadRegistry::id()]; }
 
@@ -86,12 +101,12 @@ void sweep(ThreadState& ts) {
     Retired r = ts.limbo[i];  // by value: deleters may reallocate limbo
     if (r.epoch + 2 <= safe_before) {
       r.deleter(r.ptr);
-      g_pending.fetch_sub(1, std::memory_order_relaxed);
     } else {
       ts.limbo[kept++] = r;
     }
   }
   ts.limbo.resize(kept);
+  ts.sync_pending();
   ts.sweeping = false;
 }
 
@@ -99,7 +114,22 @@ void sweep(ThreadState& ts) {
 
 Guard::Guard() {
   const int id = ThreadRegistry::id();
-  if (g_threads[id].nesting++ == 0) {
+  ThreadState& ts = g_threads[id];
+  if (ts.nesting == 0 && ts.limbo.size() >= kLimboSoftCap) {
+    // Backpressure. A guard holder that is preempted (an oversubscribed
+    // host) stalls every grace period, and each other thread's limbo then
+    // grows with its op rate for as long as the stall lasts. A thread
+    // whose limbo is over the cap, outside any guard of its own, first
+    // tries to reclaim; if the epoch is still stuck, it sleeps once
+    // before starting the critical section, which hands its CPU to
+    // runnable threads such as the stalled holder. The delay is bounded,
+    // so no operation ever waits on another thread.
+    collect();
+    if (ts.limbo.size() >= kLimboSoftCap) {
+      std::this_thread::sleep_for(kBackoffSleep);
+    }
+  }
+  if (ts.nesting++ == 0) {
     // seq_cst publish so retiring threads cannot miss us.
     g_announce[id].value.store(g_epoch.load(std::memory_order_acquire),
                                std::memory_order_seq_cst);
@@ -116,7 +146,7 @@ Guard::~Guard() {
 void retire(void* ptr, void (*deleter)(void*)) {
   ThreadState& ts = self();
   ts.limbo.push_back({ptr, deleter, g_epoch.load(std::memory_order_acquire)});
-  g_pending.fetch_add(1, std::memory_order_relaxed);
+  ts.sync_pending();
   if (++ts.since_collect >= kCollectEvery) {
     ts.since_collect = 0;
     collect();
@@ -155,15 +185,20 @@ void drain_unsafe() {
         again = true;
         std::vector<Retired> batch;
         batch.swap(ts.limbo);
-        for (Retired& r : batch) {
-          r.deleter(r.ptr);
-          g_pending.fetch_sub(1, std::memory_order_relaxed);
-        }
+        ts.sync_pending();
+        for (Retired& r : batch) r.deleter(r.ptr);
       }
     }
   }
 }
 
-std::size_t pending() { return g_pending.load(std::memory_order_relaxed); }
+std::size_t pending() {
+  std::size_t n = 0;
+  const int hw = ThreadRegistry::high_water();
+  for (int i = 0; i < hw; ++i) {
+    n += g_threads[i].pending.load(std::memory_order_relaxed);
+  }
+  return n;
+}
 
 }  // namespace lfbt::ebr

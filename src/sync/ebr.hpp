@@ -29,7 +29,9 @@
 
 namespace lfbt::ebr {
 
-/// RAII read-side critical section. Nested guards are supported.
+/// RAII read-side critical section. Nested guards are supported. Entering
+/// an outermost guard while the calling thread's limbo is over a soft cap
+/// and cannot be swept sleeps once, briefly (backpressure; see ebr.cpp).
 class Guard {
  public:
   Guard();
@@ -62,7 +64,9 @@ void synchronize();
 /// exist (e.g. test teardown after joining all threads).
 void drain_unsafe();
 
-/// Number of nodes currently awaiting reclamation (approximate).
+/// Number of nodes currently awaiting reclamation: the sum of the
+/// per-thread limbo counts. Approximate while other threads retire; exact
+/// once they have joined.
 std::size_t pending();
 
 }  // namespace lfbt::ebr

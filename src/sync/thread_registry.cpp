@@ -40,9 +40,12 @@ namespace {
 thread_local ThreadSlotReleaser t_slot;
 }
 
-int ThreadRegistry::id() {
-  if (t_slot.id < 0) t_slot.id = claim_slot();
-  return t_slot.id;
+int ThreadRegistry::register_thread() noexcept {
+  // First touch of t_slot registers its destructor: the slot is released
+  // when this thread exits.
+  t_slot.id = claim_slot();
+  slot_ = t_slot.id;
+  return slot_;
 }
 
 int ThreadRegistry::high_water() {

@@ -6,6 +6,7 @@
 #include <thread>
 #include <vector>
 #include "ebr_test_util.hpp"
+#include "reclaim/mem_stats.hpp"
 
 namespace lfbt {
 namespace {
@@ -77,6 +78,50 @@ TEST(Ebr, ConcurrentChurnDoesNotLoseOrDoubleFree) {
   ebr::drain_unsafe();  // all threads joined: safe
   EXPECT_EQ(live.load(), 0);
   EXPECT_EQ(ebr::pending(), 0u);
+}
+
+TEST(Ebr, PerThreadCountsSumExactly) {
+  // MemStats event counters and the EBR limbo count are kept per thread
+  // slot and summed by their readers. After a join the sums must be exact:
+  // no event lost, none counted twice, whichever slots the threads got.
+  ebr::drain_unsafe();
+  const std::size_t pending0 = ebr::pending();
+  const MemStats::ClassSnapshot before =
+      MemStats::snapshot(MemClass::kVersionNode);
+  std::atomic<int> live{0};
+  constexpr int kThreads = 4;
+  constexpr int kEach = 1000;
+  {
+    // Pins the epoch: nothing retired below can be freed until it ends,
+    // so every retire is still pending after the join.
+    ebr::Guard pin;
+    std::atomic<int> done{0};
+    std::vector<std::thread> ts;
+    for (int t = 0; t < kThreads; ++t) {
+      ts.emplace_back([&] {
+        for (int i = 0; i < kEach; ++i) {
+          MemStats::on_acquire(MemClass::kVersionNode, /*recycled=*/i % 2);
+          MemStats::on_release(MemClass::kVersionNode);
+          ebr::retire(new Tracked(live));
+        }
+        // Hold the slot until every thread has finished, so the counts
+        // really are spread over kThreads slots.
+        done.fetch_add(1);
+        while (done.load() != kThreads) std::this_thread::yield();
+      });
+    }
+    for (auto& t : ts) t.join();
+    const MemStats::ClassSnapshot after =
+        MemStats::snapshot(MemClass::kVersionNode);
+    EXPECT_EQ(after.acquired - before.acquired, 1u * kThreads * kEach);
+    EXPECT_EQ(after.recycled - before.recycled, 1u * kThreads * kEach / 2);
+    EXPECT_EQ(after.released - before.released, 1u * kThreads * kEach);
+    EXPECT_EQ(ebr::pending(), pending0 + kThreads * kEach);
+    EXPECT_EQ(live.load(), kThreads * kEach);
+  }
+  ebr::drain_unsafe();  // all threads joined, guard gone: safe
+  EXPECT_EQ(ebr::pending(), pending0);
+  EXPECT_EQ(live.load(), 0);
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 // The reclamation subsystem (src/reclaim/): RecyclePool's carve/release/
-// recycle discipline on a private instantiation, MemStats accounting,
+// recycle discipline on a private instantiation, the spill from a full
+// thread cache to the shared free list, MemStats accounting,
 // ChunkStore retire-and-reuse, steady-state footprint across whole
 // structure lifetimes (arena chunks + pools + the announcement-cell
 // quarantine all cycling), and a miniature churn soak through the same
@@ -9,6 +10,7 @@
 #include <atomic>
 #include <cstdint>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "baselines/versioned_trie.hpp"
@@ -84,6 +86,41 @@ TEST(RecyclePool, CarveThenRecycleAfterGrace) {
   EXPECT_EQ(after.released - before.released, static_cast<uint64_t>(kBatch));
 }
 
+// A second private pool, so allocated_count() below is not shared with
+// the test above: a derived Traits is a distinct instantiation.
+struct SpillTraits : TestTraits {};
+using SpillPool = reclaim::RecyclePool<SpillTraits>;
+
+TEST(RecyclePool, CacheOverflowSpillsToSharedStack) {
+  // Thread caches must not strand memory. This thread releases far more
+  // nodes than its cache holds and drains them, so the deleters run here:
+  // at most kCacheCapacity stay in this thread's cache and the rest must
+  // reach the shared stack, where another thread recycles them.
+  constexpr std::size_t kCap = SpillPool::kCacheCapacity;
+  constexpr std::size_t kReleased = 4 * kCap + 7;
+  std::vector<TestNode*> nodes;
+  for (std::size_t i = 0; i < kReleased; ++i) {
+    nodes.push_back(SpillPool::acquire().node);
+  }
+  ASSERT_EQ(SpillPool::allocated_count(), kReleased);
+  for (TestNode* n : nodes) SpillPool::release(n);
+  ebr::drain_unsafe();
+
+  // This thread stays alive, so the other one cannot inherit its slot
+  // (and with it the cache).
+  std::size_t recycled = 0;
+  std::thread other([&] {
+    for (std::size_t i = 0; i < kReleased; ++i) {
+      recycled += SpillPool::acquire().recycled ? 1 : 0;
+    }
+  });
+  other.join();
+  EXPECT_GE(recycled, kReleased - kCap);
+  EXPECT_LE(SpillPool::allocated_count() - kReleased, kCap)
+      << "released nodes stranded in a thread cache";
+  EXPECT_EQ(recycled + (SpillPool::allocated_count() - kReleased), kReleased);
+}
+
 TEST(MemStats, CountersAndDerivedGauges) {
   const MemStats::ClassSnapshot before = MemStats::snapshot(MemClass::kAnnCell);
   const std::uint64_t total_before = Stats::memory().total_reserved();
@@ -133,6 +170,38 @@ TEST(ChunkStore, RetiredChunkIsReusedForTheNextFit) {
   EXPECT_EQ(after.recycled - before.recycled, 1u);
   EXPECT_EQ(after.released - before.released, 1u);
   ChunkStore::release(again);  // leave no dangling ownership
+}
+
+TEST(Reclaim, TrieDestructionLeavesPinnedNodesToTheirLastUnpin) {
+  // A retired query announcement drains its notify chain after a grace
+  // period, possibly on another thread's EBR limbo and after the trie it
+  // served is gone, dropping the pins its notifications hold on update
+  // nodes. The destructor must leave such a node to that last unpin: a
+  // node freed regardless of pins is recycled into a live trie, and the
+  // late unpin then strips a pin from its new owner.
+  UpdateNode* u = nullptr;
+  {
+    LockFreeBinaryTrie t(64);
+    t.insert(5);
+    u = t.core_for_test().find_latest(5);  // resident, first-activated INS
+    ASSERT_TRUE(u->pooled());
+    ASSERT_TRUE(u->try_pin());  // stands in for a pending drain's pin
+  }
+  ebr::drain_unsafe();  // every grace period the destructor started ends
+  const std::uint64_t state =
+      u->reclaim.load() & UpdateNode::kStateMask;
+  EXPECT_EQ(state, UpdateNode::kStateRetired)
+      << "destruction released a node that still holds a pin";
+  // Pool pressure: had the node gone back to its pool, it would be
+  // handed out again here.
+  std::vector<UpdateNode*> fresh;
+  for (int i = 0; i < 4096; ++i) fresh.push_back(InsNodePool::acquire(0));
+  for (UpdateNode* f : fresh) EXPECT_NE(f, u);
+  for (UpdateNode* f : fresh) retire_unpublished(f);
+  // The late unpin is the last one out and owns the release.
+  ASSERT_TRUE(u->unpin());
+  release_update_to_pool(u);
+  ebr::drain_unsafe();
 }
 
 TEST(Reclaim, StructureLifetimeChurnReachesSteadyFootprint) {
