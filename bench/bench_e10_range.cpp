@@ -4,9 +4,8 @@
 // Subsystem claims under test (the query surface):
 //  * the native symmetric successor answers at predecessor cost — the
 //    same announcement machinery reflected through the key order — so
-//    BidiTrie/ShardedTrie traversal throughput tracks their E9
-//    predecessor throughput with no doubled update work (E11 measures
-//    the update-side win directly);
+//    LockFreeBinaryTrie/ShardedTrie traversal throughput tracks their E9
+//    predecessor throughput with no doubled update work;
 //  * ShardedTrie range scans touch only the shards a window intersects
 //    (plus the O(1) empty-shard skip), so for windows narrower than a
 //    shard the scan cost is independent of S, while successor pays the
@@ -21,7 +20,7 @@
 #include "baselines/lf_skiplist.hpp"
 #include "baselines/locked_trie.hpp"
 #include "bench_util.hpp"
-#include "query/bidi_trie.hpp"
+#include "core/lockfree_trie.hpp"
 #include "shard/sharded_trie.hpp"
 
 namespace lfbt {
@@ -49,7 +48,7 @@ void run_cell(const char* name, const BenchConfig& base, int threads,
       res.steps.scan_ops > 0
           ? double(res.steps.scan_keys) / double(res.steps.scan_ops)
           : 0.0;
-  bench::row(bench::fmt("| %-12s | %4lld | %2d | %-9s | %9.3f | %10.2f |",
+  bench::row(bench::fmt("| %-13s | %4lld | %2d | %-9s | %9.3f | %10.2f |",
                         name, static_cast<long long>(span), threads,
                         dist_name(cfg), res.mops_per_sec, keys_per_scan));
   const int shards = ShardedOrderedSet<Set> ? cfg.shards : 0;
@@ -60,15 +59,15 @@ void run_cell(const char* name, const BenchConfig& base, int threads,
 void run_row_set(const BenchConfig& base, int threads, Key span,
                  uint64_t total_ops) {
   run_cell<ShardedTrie>("sharded-trie", base, threads, span, total_ops);
-  run_cell<BidiTrie>("bidi-trie", base, threads, span, total_ops);
+  run_cell<LockFreeBinaryTrie>("lockfree-trie", base, threads, span, total_ops);
   run_cell<LockFreeSkipList>("skiplist", base, threads, span, total_ops);
   run_cell<RwLockTrie>("rwlock", base, threads, span, total_ops);
 }
 
 void table_header(const char* title) {
   bench::row(bench::fmt("### %s", title));
-  bench::row("| structure    | span | th | dist      |  Mops/s   | keys/scan  |");
-  bench::row("|--------------|------|----|-----------|-----------|------------|");
+  bench::row("| structure     | span | th | dist      |  Mops/s   | keys/scan  |");
+  bench::row("|---------------|------|----|-----------|-----------|------------|");
 }
 
 }  // namespace

@@ -77,25 +77,6 @@ class JsonRows {
             r.mops_per_sec));
   }
 
-  /// Record shape for latency-panelled experiments (E11/E12): the
-  /// standard result fields plus sampled per-op latency percentiles in
-  /// nanoseconds (cfg.sample_latency must have been set; zeros
-  /// otherwise). E11 and E12 share this shape so their panels diff.
-  void add_latency_result(const char* structure, int shards, int threads,
-                          const OpMix& mix, const char* dist,
-                          const BenchResult& r) {
-    add(fmt("{\"structure\":\"%s\",\"shards\":%d,\"threads\":%d,"
-            "\"mix\":\"%s\",\"dist\":\"%s\",\"total_ops\":%llu,"
-            "\"elapsed_sec\":%.6f,\"mops_per_sec\":%.4f,"
-            "\"p50_ns\":%llu,\"p95_ns\":%llu,\"p99_ns\":%llu}",
-            structure, shards, threads, mix.name().c_str(), dist,
-            static_cast<unsigned long long>(r.total_ops), r.elapsed_sec,
-            r.mops_per_sec,
-            static_cast<unsigned long long>(r.latency_pct(0.50)),
-            static_cast<unsigned long long>(r.latency_pct(0.95)),
-            static_cast<unsigned long long>(r.latency_pct(0.99))));
-  }
-
   /// Record shape for traversal workloads (E10): adds the scan-window
   /// width and the scan counters the harness collected via StepCounts.
   void add_scan_result(const char* structure, int shards, int threads,

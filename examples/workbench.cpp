@@ -20,9 +20,9 @@
 //                flat out and the panel reports batched-path saturation.
 //                --rate without --batch uses the default batch capacity.
 //
-//   structure: lockfree-trie | sharded-trie | bidi-trie | relaxed-trie |
-//              skiplist | harris | coarse | rwlock | cow | versioned |
-//              compressed | enc-u64-trie | enc-u64-compressed | enc-str-trie
+//   structure: lockfree-trie | sharded-trie | relaxed-trie | skiplist |
+//              harris | coarse | rwlock | cow | versioned | compressed |
+//              enc-u64-trie | enc-u64-compressed | enc-str-trie
 //
 // The enc-* structures run the workload through the key-encoding layer
 // (src/keys/): every op converts its dense key to a typed key
@@ -33,7 +33,7 @@
 //
 // The six percentages must sum to 100. Every structure here carries the
 // full traversal surface (succ%/scan%) — the core trie answers successor
-// natively, and bidi-trie is a retained alias for it. The service panel
+// natively. The service panel
 // converts range scans to predecessor queries (the batch facade is a
 // point-op front door).
 //
@@ -55,7 +55,6 @@
 #include "core/lockfree_trie.hpp"
 #include "keys/compressed_trie.hpp"
 #include "keys/encoded_set.hpp"
-#include "query/bidi_trie.hpp"
 #include "reclaim/mem_stats.hpp"
 #include "relaxed/relaxed_trie.hpp"
 #include "serve/open_loop.hpp"
@@ -214,7 +213,6 @@ int main(int argc, char** argv) {
 
   if (structure == "lockfree-trie") return run<LockFreeBinaryTrie>(cfg, "lockfree-trie");
   if (structure == "sharded-trie") return run<ShardedTrie>(cfg, "sharded-trie");
-  if (structure == "bidi-trie") return run<BidiTrie>(cfg, "bidi-trie");
   if (structure == "relaxed-trie") return run<RelaxedBinaryTrie>(cfg, "relaxed-trie");
   if (structure == "skiplist") return run<LockFreeSkipList>(cfg, "skiplist");
   if (structure == "harris") return run<HarrisSet>(cfg, "harris");
@@ -237,9 +235,8 @@ int main(int argc, char** argv) {
   }
   std::fprintf(stderr,
                "unknown structure '%s' (try: lockfree-trie sharded-trie "
-               "bidi-trie relaxed-trie skiplist harris coarse rwlock cow "
-               "versioned compressed enc-u64-trie enc-u64-compressed "
-               "enc-str-trie)\n",
+               "relaxed-trie skiplist harris coarse rwlock cow versioned "
+               "compressed enc-u64-trie enc-u64-compressed enc-str-trie)\n",
                structure.c_str());
   return 2;
 }

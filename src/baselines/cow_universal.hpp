@@ -77,11 +77,7 @@ class CowUniversalSet {
   ScanResult range_scan_validated(Key lo, Key hi, std::size_t limit,
                                   std::vector<Key>& out,
                                   uint32_t /*max_retries*/ = 0) {
-    ScanResult r;
-    r.n = range_scan(lo, hi, limit, out);
-    r.atomic = true;
-    Stats::count_scan_atomic();
-    return r;
+    return atomic_range_scan(*this, lo, hi, limit, out);
   }
 
  private:

@@ -65,10 +65,7 @@ class LockedStdSet {
   ScanResult range_scan_validated(Key lo, Key hi, std::size_t limit,
                                   std::vector<Key>& out,
                                   uint32_t /*max_retries*/ = 0) {
-    ScanResult r;
-    r.n = range_scan(lo, hi, limit, out);
-    r.atomic = true;
-    return r;
+    return atomic_range_scan(*this, lo, hi, limit, out);
   }
   std::size_t size() const {
     std::lock_guard lock(mu_);

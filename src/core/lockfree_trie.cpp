@@ -215,7 +215,7 @@ void LockFreeBinaryTrie::insert(Key x) {
 // DeleteBinaryTrie (producing delPred2 AND delSucc2) — so, exactly as in
 // the paper (l.201 precedes l.203), both second-query results are always
 // written before this DEL node can reach a notify list. Two helper
-// invocations where the pre-fused path ran four.
+// invocations, the paper's count (l.184 and l.200).
 void LockFreeBinaryTrie::erase(Key x) {
   assert(x >= 0 && x < core_.universe());
   ebr::Guard guard;
@@ -254,55 +254,6 @@ void LockFreeBinaryTrie::erase(Key x) {
   retire_query_node(q1.node);                     // l.206
   retire_query_node(q2.node);
   // Reclamation triggers (see insert()).
-  try_retire_update(i_node);
-  try_retire_update(d_node);
-}
-
-// The PR 3 delete, preserved as the E12 baseline: four single-direction
-// embedded helpers (two per direction — the cost the fused path halves).
-// Correctness is the pre-fused argument; the one representational
-// difference is that del_query_node records the first *predecessor*
-// helper's announcement (the old code kept one node per direction).
-void LockFreeBinaryTrie::erase_unfused_for_bench(Key x) {
-  assert(x >= 0 && x < core_.universe());
-  ebr::Guard guard;
-  UpdateNode* i_node = core_.find_latest(x);
-  if (i_node->type != NodeType::kIns) return;
-  QueryAnswer p1 = query_helper_fused(x, QueryDir::kPred);
-  QueryAnswer s1 = query_helper_fused(x, QueryDir::kSucc);
-  DelNode* d_node = DelNodePool::acquire(x, core_.b());
-  d_node->latest_next.store(i_node);
-  d_node->del_pred = p1.pred;
-  d_node->del_succ = s1.succ;
-  d_node->del_query_node = p1.node;
-  d_node->del_query_gen = p1.node->gen;
-  i_node->latest_next.store(nullptr);
-  notify_query_ops(i_node);
-  if (!core_.cas_latest(x, i_node, d_node)) {
-    help_activate(core_.read_latest(x));
-    retire_query_node(p1.node);
-    retire_query_node(s1.node);
-    retire_unpublished(d_node);
-    return;
-  }
-  announce(d_node);
-  d_node->status.store(UpdateNode::kActive);
-  size_.fetch_sub(1);
-  upd_epoch_.fetch_add(1);
-  if (DelNode* tg = i_node->target.load()) tg->stop.store(true);
-  d_node->latest_next.store(nullptr);
-  QueryAnswer p2 = query_helper_fused(x, QueryDir::kPred);
-  QueryAnswer s2 = query_helper_fused(x, QueryDir::kSucc);
-  d_node->del_pred2.store(p2.pred);
-  d_node->del_succ2.store(s2.succ);
-  core_.delete_binary_trie(d_node);
-  notify_query_ops(d_node);
-  d_node->completed.store(true);
-  retract(d_node);
-  retire_query_node(p1.node);
-  retire_query_node(s1.node);
-  retire_query_node(p2.node);
-  retire_query_node(s2.node);
   try_retire_update(i_node);
   try_retire_update(d_node);
 }

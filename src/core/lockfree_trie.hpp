@@ -98,12 +98,6 @@ class LockFreeBinaryTrie {
   /// queries' ⊥-fallbacks in both directions.
   void erase(Key x);
 
-  /// The pre-fused (PR 3) Delete, kept verbatim as the E12 baseline: four
-  /// single-direction embedded query helpers instead of two fused ones.
-  /// Semantically equivalent to erase() (bench/test use only — see
-  /// bench_e12_delete_cost.cpp).
-  void erase_unfused_for_bench(Key x);
-
   /// Paper Predecessor (l.253–256): largest key < y in S at the
   /// linearization point, or kNoKey (-1). y in [0, universe()].
   Key predecessor(Key y);

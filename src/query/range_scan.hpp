@@ -35,9 +35,10 @@
 //    docs/DESIGN.md, "Atomic scans".
 //
 // Structures with snapshot reads (CowUniversalSet, VersionedTrie and its
-// SnapshotView) and the lock-holding baselines are atomic by
-// construction: their range_scan_validated never retries and always
-// reports atomic == true.
+// SnapshotView), the sequential trie and the lock-holding baselines are
+// atomic by construction: their range_scan_validated is
+// atomic_range_scan below, which never retries and always reports
+// atomic == true.
 #pragma once
 
 #include <cassert>
@@ -84,8 +85,7 @@ concept SuccessorQueryable = requires(S s, Key y) {
 /// successor step per reported key (plus one to detect the end), so the
 /// weak-consistency contract above holds whenever `successor` is
 /// linearizable. The single shared implementation of the walk — the
-/// core trie's range_scan member delegates here, as does the E11
-/// bench's reconstructed double-write baseline.
+/// core trie's range_scan member delegates here.
 template <SuccessorQueryable S>
 std::size_t successor_range_scan(S& set, Key lo, Key hi, std::size_t limit,
                                  std::vector<Key>& out) {
@@ -133,6 +133,19 @@ ScanResult epoch_validated_scan(S& set, EpochFn&& epoch, Key lo, Key hi,
     ++r.retries;
     Stats::count_scan_retry();
   }
+}
+
+/// range_scan_validated for a structure whose range_scan is atomic by
+/// construction (a snapshot walk, a walk under the structure's lock, or
+/// a sequential structure): one walk, never retried, always atomic.
+template <class S>
+ScanResult atomic_range_scan(S& set, Key lo, Key hi, std::size_t limit,
+                             std::vector<Key>& out) {
+  ScanResult r;
+  r.n = set.range_scan(lo, hi, limit, out);
+  r.atomic = true;
+  Stats::count_scan_atomic();
+  return r;
 }
 
 /// Convenience wrapper returning a fresh vector (examples, tests).

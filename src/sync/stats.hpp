@@ -3,9 +3,9 @@
 // Used by experiment E5 to validate the paper's amortized step-complexity
 // claims: we count shared-memory reads, CAS attempts, successful CASes and
 // min-writes performed inside trie operations, plus the query-path
-// accounting E12 relies on (fused-helper invocations and query-node
-// allocations). Counting is thread-local (no synchronisation on the hot
-// path) and aggregated on demand.
+// accounting (fused-helper invocations and query-node allocations).
+// Counting is thread-local (no synchronisation on the hot path) and
+// aggregated on demand.
 //
 // Toggle: building with -DLFBT_STATS_DISABLED=1 (CMake: -DTRIE_STATS=OFF)
 // compiles every count_* call to nothing, so release benches measure the
@@ -19,8 +19,10 @@
 #pragma once
 
 #include <array>
-#include <atomic>
+#include <bit>
+#include <cstddef>
 #include <cstdint>
+#include <type_traits>
 
 #include "reclaim/mem_stats.hpp"
 #include "sync/cacheline.hpp"
@@ -54,7 +56,7 @@ struct StepCounts {
   uint64_t atomic_scans = 0;
   uint64_t scan_retries = 0;
   uint64_t scan_fallbacks = 0;
-  // Query-path accounting (E12 / the fused-delete acceptance test):
+  // Query-path accounting (the fused-delete acceptance test):
   // every query-helper invocation, the subset announced as fused
   // direction-pairs (QueryDir::kBoth), and PredecessorNode allocations
   // that missed the recycling pool (helpers minus allocs = reuses).
@@ -70,51 +72,37 @@ struct StepCounts {
   uint64_t batch_ops = 0;
   uint64_t batch_coalesced = 0;
 
-  StepCounts& operator+=(const StepCounts& o) noexcept {
-    reads += o.reads;
-    cas_attempts += o.cas_attempts;
-    cas_successes += o.cas_successes;
-    min_writes += o.min_writes;
-    helps += o.helps;
-    trie_restarts += o.trie_restarts;
-    scan_ops += o.scan_ops;
-    scan_keys += o.scan_keys;
-    atomic_scans += o.atomic_scans;
-    scan_retries += o.scan_retries;
-    scan_fallbacks += o.scan_fallbacks;
-    query_helpers += o.query_helpers;
-    fused_queries += o.fused_queries;
-    query_node_allocs += o.query_node_allocs;
-    batch_flushes += o.batch_flushes;
-    batch_ops += o.batch_ops;
-    batch_coalesced += o.batch_coalesced;
-    return *this;
-  }
-  StepCounts operator-(const StepCounts& o) const noexcept {
-    StepCounts r = *this;
-    r.reads -= o.reads;
-    r.cas_attempts -= o.cas_attempts;
-    r.cas_successes -= o.cas_successes;
-    r.min_writes -= o.min_writes;
-    r.helps -= o.helps;
-    r.trie_restarts -= o.trie_restarts;
-    r.scan_ops -= o.scan_ops;
-    r.scan_keys -= o.scan_keys;
-    r.atomic_scans -= o.atomic_scans;
-    r.scan_retries -= o.scan_retries;
-    r.scan_fallbacks -= o.scan_fallbacks;
-    r.query_helpers -= o.query_helpers;
-    r.fused_queries -= o.fused_queries;
-    r.query_node_allocs -= o.query_node_allocs;
-    r.batch_flushes -= o.batch_flushes;
-    r.batch_ops -= o.batch_ops;
-    r.batch_coalesced -= o.batch_coalesced;
-    return r;
-  }
+  // Every field above is one uint64_t counter, so += and - walk the
+  // struct as an array (defined below, once the size is known): adding a
+  // counter takes its field and its count_* function, nothing else.
+  StepCounts& operator+=(const StepCounts& o) noexcept;
+  StepCounts operator-(const StepCounts& o) const noexcept;
   uint64_t total() const noexcept {
     return reads + cas_attempts + min_writes;
   }
 };
+
+static_assert(std::has_unique_object_representations_v<StepCounts> &&
+                  sizeof(StepCounts) % sizeof(uint64_t) == 0,
+              "StepCounts must hold only uint64_t counters");
+
+namespace detail {
+using StepArray = std::array<uint64_t, sizeof(StepCounts) / sizeof(uint64_t)>;
+}  // namespace detail
+
+inline StepCounts& StepCounts::operator+=(const StepCounts& o) noexcept {
+  auto a = std::bit_cast<detail::StepArray>(*this);
+  const auto b = std::bit_cast<detail::StepArray>(o);
+  for (std::size_t i = 0; i < a.size(); ++i) a[i] += b[i];
+  return *this = std::bit_cast<StepCounts>(a);
+}
+
+inline StepCounts StepCounts::operator-(const StepCounts& o) const noexcept {
+  auto a = std::bit_cast<detail::StepArray>(*this);
+  const auto b = std::bit_cast<detail::StepArray>(o);
+  for (std::size_t i = 0; i < a.size(); ++i) a[i] -= b[i];
+  return std::bit_cast<StepCounts>(a);
+}
 
 class Stats {
  public:
@@ -129,72 +117,87 @@ class Stats {
 
 #if LFBT_STATS_ENABLED
   static StepCounts& local() { return slots_[ThreadRegistry::id()].value; }
+#else
+  // Instrumentation compiled out: readers observe a stable all-zero
+  // StepCounts, and every count_* below discards its body at compile time.
+  static StepCounts& local() {
+    static thread_local StepCounts dummy{};
+    dummy = StepCounts{};
+    return dummy;
+  }
+#endif
 
-  static void count_read(uint64_t n = 1) { local().reads += n; }
+  static void count_read(uint64_t n = 1) {
+    if constexpr (enabled()) local().reads += n;
+  }
   static void count_cas(bool success) {
-    auto& s = local();
-    ++s.cas_attempts;
-    if (success) ++s.cas_successes;
+    if constexpr (enabled()) {
+      auto& s = local();
+      ++s.cas_attempts;
+      s.cas_successes += success;
+    }
   }
-  static void count_min_write() { ++local().min_writes; }
-  static void count_help() { ++local().helps; }
+  static void count_min_write() {
+    if constexpr (enabled()) ++local().min_writes;
+  }
+  static void count_help() {
+    if constexpr (enabled()) ++local().helps;
+  }
   static void count_scan(uint64_t keys) {
-    auto& s = local();
-    ++s.scan_ops;
-    s.scan_keys += keys;
+    if constexpr (enabled()) {
+      auto& s = local();
+      ++s.scan_ops;
+      s.scan_keys += keys;
+    }
   }
-  static void count_scan_atomic() { ++local().atomic_scans; }
-  static void count_scan_retry() { ++local().scan_retries; }
-  static void count_scan_fallback() { ++local().scan_fallbacks; }
+  static void count_scan_atomic() {
+    if constexpr (enabled()) ++local().atomic_scans;
+  }
+  static void count_scan_retry() {
+    if constexpr (enabled()) ++local().scan_retries;
+  }
+  static void count_scan_fallback() {
+    if constexpr (enabled()) ++local().scan_fallbacks;
+  }
   static void count_query_helper(bool fused) {
-    auto& s = local();
-    ++s.query_helpers;
-    if (fused) ++s.fused_queries;
+    if constexpr (enabled()) {
+      auto& s = local();
+      ++s.query_helpers;
+      if (fused) ++s.fused_queries;
+    }
   }
-  static void count_query_node_alloc() { ++local().query_node_allocs; }
+  static void count_query_node_alloc() {
+    if constexpr (enabled()) ++local().query_node_allocs;
+  }
   static void count_batch_flush(uint64_t ops, uint64_t coalesced) {
-    auto& s = local();
-    ++s.batch_flushes;
-    s.batch_ops += ops;
-    s.batch_coalesced += coalesced;
+    if constexpr (enabled()) {
+      auto& s = local();
+      ++s.batch_flushes;
+      s.batch_ops += ops;
+      s.batch_coalesced += coalesced;
+    }
   }
 
   /// Sum over all thread slots. Safe to call while threads run (values are
   /// monotone; the result is a consistent-enough snapshot for reporting).
   static StepCounts aggregate() {
     StepCounts total;
-    for (int i = 0; i < kMaxThreads; ++i) total += slots_[i].value;
+#if LFBT_STATS_ENABLED
+    for (const auto& s : slots_) total += s.value;
+#endif
     return total;
   }
 
   /// Zero all slots. Only call while no instrumented code runs.
   static void reset() {
-    for (int i = 0; i < kMaxThreads; ++i) slots_[i].value = StepCounts{};
+#if LFBT_STATS_ENABLED
+    for (auto& s : slots_) s.value = StepCounts{};
+#endif
   }
 
+#if LFBT_STATS_ENABLED
  private:
   static inline std::array<Padded<StepCounts>, kMaxThreads> slots_{};
-#else
-  // Instrumentation compiled out: every counting call is a no-op the
-  // optimizer erases; readers observe a stable all-zero StepCounts.
-  static StepCounts& local() {
-    static thread_local StepCounts dummy{};
-    dummy = StepCounts{};
-    return dummy;
-  }
-  static void count_read(uint64_t = 1) {}
-  static void count_cas(bool) {}
-  static void count_min_write() {}
-  static void count_help() {}
-  static void count_scan(uint64_t) {}
-  static void count_scan_atomic() {}
-  static void count_scan_retry() {}
-  static void count_scan_fallback() {}
-  static void count_query_helper(bool) {}
-  static void count_query_node_alloc() {}
-  static void count_batch_flush(uint64_t, uint64_t) {}
-  static StepCounts aggregate() { return StepCounts{}; }
-  static void reset() {}
 #endif
 };
 

@@ -5,8 +5,9 @@
 // Stats retry counters), Wing–Gong stress with whole-scan events under
 // churn (including a split/merge churner in flight), the single-writer
 // oracle on scan windows, fault injection against a frozen splitter,
-// SnapshotView frozen-state semantics, and the type-erased facade's
-// validated-scan surface.
+// SnapshotView frozen-state semantics, the type-erased facade's
+// validated-scan surface, and the scan counters of the structures that
+// are atomic by construction.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,6 +18,9 @@
 #include <utility>
 #include <vector>
 
+#include "baselines/cow_universal.hpp"
+#include "baselines/locked_map.hpp"
+#include "baselines/seq_binary_trie.hpp"
 #include "baselines/versioned_trie.hpp"
 #include "core/lockfree_trie.hpp"
 #include "ebr_test_util.hpp"
@@ -528,6 +532,49 @@ TEST(AtomicScan, ErasedFacadeDelegatesOrDegradesHonestly) {
   EXPECT_FALSE(rb.atomic);  // per-step fallback makes no atomicity claim
   EXPECT_EQ(rb.n, 2u);
   EXPECT_EQ(out, (std::vector<Key>{5, 9}));
+}
+
+// ---- Atomic by construction ----------------------------------------------
+
+// SnapshotView has no universe constructor: scan a fresh view of a
+// VersionedTrie instead.
+struct VersionedSnapshot {
+  explicit VersionedSnapshot(Key universe) : trie(universe) {}
+  void insert(Key x) { trie.insert(x); }
+  ScanResult range_scan_validated(Key lo, Key hi, std::size_t limit,
+                                  std::vector<Key>& out) {
+    return trie.snapshot().range_scan_validated(lo, hi, limit, out);
+  }
+  VersionedTrie trie;
+};
+
+template <class S>
+class AtomicByConstructionScan : public ::testing::Test {};
+using AtomicByConstructionTypes =
+    ::testing::Types<CowUniversalSet, VersionedTrie, SeqBinaryTrie,
+                     VersionedSnapshot, LockedStdSet>;
+TYPED_TEST_SUITE(AtomicByConstructionScan, AtomicByConstructionTypes);
+
+TYPED_TEST(AtomicByConstructionScan, CountsOneAtomicScanPerScan) {
+  if (!Stats::enabled()) GTEST_SKIP() << "built with TRIE_STATS=OFF";
+  TypeParam s(256);
+  std::set<Key> ref;
+  for (Key k = 3; k < 256; k += 7) {
+    s.insert(k);
+    ref.insert(k);
+  }
+  for (int i = 0; i < 3; ++i) {
+    std::vector<Key> out;
+    const StepCounts before = Stats::local();
+    const ScanResult r = s.range_scan_validated(10, 200, kNoScanLimit, out);
+    const StepCounts d = Stats::local() - before;
+    EXPECT_TRUE(r.atomic);
+    EXPECT_EQ(r.retries, 0u);
+    EXPECT_EQ(out, ref_window(ref, 10, 200));
+    EXPECT_EQ(d.atomic_scans, 1u);
+    EXPECT_EQ(d.scan_retries, 0u);
+    EXPECT_EQ(d.scan_fallbacks, 0u);
+  }
 }
 
 }  // namespace

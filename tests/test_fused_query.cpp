@@ -1,6 +1,6 @@
-// The fused bidirectional embedded-query path (ISSUE 4): Stats-counter
-// accounting (a Delete embeds exactly TWO fused queries where the PR 3
-// path ran four single-direction helpers), query-node recycling through
+// The fused bidirectional embedded-query path: Stats-counter accounting
+// (a Delete embeds exactly TWO fused queries, the paper's count, each
+// answering both directions), query-node recycling through
 // EBR, deterministic ⊥-fallback fault injection where BOTH directions
 // must recover through the SAME fused announcement, and Wing–Gong
 // linearizability of delete-heavy mixed-direction histories driven
@@ -41,17 +41,6 @@ TEST(FusedQuery, DeletePerformsExactlyTwoFusedQueries) {
   t.erase(300);
   delta = Stats::local() - before;
   EXPECT_EQ(delta.query_helpers, 0u);
-  EXPECT_EQ(delta.fused_queries, 0u);
-}
-
-TEST(FusedQuery, UnfusedBaselineRunsFourSingleDirectionHelpers) {
-  if (!Stats::enabled()) GTEST_SKIP() << "built with TRIE_STATS=OFF";
-  LockFreeBinaryTrie t(1 << 10);
-  t.insert(100);
-  StepCounts before = Stats::local();
-  t.erase_unfused_for_bench(100);
-  StepCounts delta = Stats::local() - before;
-  EXPECT_EQ(delta.query_helpers, 4u);
   EXPECT_EQ(delta.fused_queries, 0u);
 }
 
@@ -103,38 +92,6 @@ TEST(FusedQuery, RecyclingPreservesSequentialAnswers) {
         break;
       case 1:
         t.erase(k);
-        ref.erase(k);
-        break;
-      case 2: {
-        auto it = ref.lower_bound(k + 1);
-        Key want = it == ref.begin() ? kNoKey : *std::prev(it);
-        ASSERT_EQ(t.predecessor(k + 1), want) << "i=" << i;
-        break;
-      }
-      default: {
-        auto it = ref.upper_bound(k - 1);
-        ASSERT_EQ(t.successor(k - 1), it == ref.end() ? kNoKey : *it)
-            << "i=" << i;
-      }
-    }
-  }
-}
-
-TEST(FusedQuery, UnfusedBaselineMatchesReference) {
-  // The E12 baseline must stay semantically a Delete; differential
-  // against std::set with queries interleaved.
-  LockFreeBinaryTrie t(1 << 9);
-  std::set<Key> ref;
-  Xoshiro256 rng(779);
-  for (int i = 0; i < 20000; ++i) {
-    Key k = static_cast<Key>(rng.bounded(1 << 9));
-    switch (rng.bounded(4)) {
-      case 0:
-        t.insert(k);
-        ref.insert(k);
-        break;
-      case 1:
-        t.erase_unfused_for_bench(k);
         ref.erase(k);
         break;
       case 2: {

@@ -15,6 +15,7 @@
 
 #include "baselines/locked_map.hpp"
 #include "core/lockfree_trie.hpp"
+#include "ebr_test_util.hpp"
 #include "keys/compressed_trie.hpp"
 #include "keys/key_codec.hpp"
 #include "set_test_util.hpp"

@@ -15,7 +15,6 @@
 #include "baselines/seq_binary_trie.hpp"
 #include "baselines/versioned_trie.hpp"
 #include "core/lockfree_trie.hpp"
-#include "query/bidi_trie.hpp"
 #include "query/mirrored_trie.hpp"
 #include "relaxed/relaxed_trie.hpp"
 #include "set_test_util.hpp"
@@ -54,11 +53,9 @@ static_assert(!ShardedOrderedSet<LockFreeBinaryTrie>);
 
 // Traversal refinement (successor + range_scan): every shipped structure
 // models it — including the paper's trie itself, whose successor is now
-// native and symmetric (core/lockfree_trie.hpp); BidiTrie is a retained
-// alias for it. The successor-only MirroredTrie oracle is deliberately
-// not even an OrderedSet.
+// native and symmetric (core/lockfree_trie.hpp). The successor-only
+// MirroredTrie oracle is deliberately not even an OrderedSet.
 static_assert(TraversableOrderedSet<LockFreeBinaryTrie>);
-static_assert(std::same_as<BidiTrie, LockFreeBinaryTrie>);
 static_assert(TraversableOrderedSet<ShardedTrie>);
 static_assert(TraversableOrderedSet<RelaxedBinaryTrie>);
 static_assert(TraversableOrderedSet<LockFreeSkipList>);
@@ -182,8 +179,7 @@ TEST(OrderedSetFacade, HeterogeneousStructuresOneDriver) {
 TEST(OrderedSetFacade, HeterogeneousTraversalOneDriver) {
   // Every traversable structure in the repository behind one erased
   // handle, driven through the full six-op surface against std::set.
-  // (BidiTrie == LockFreeBinaryTrie: the native-successor core trie.)
-  BidiTrie a(128);
+  LockFreeBinaryTrie a(128);
   ShardedTrie b(128, 8);
   RelaxedBinaryTrie c(128);
   SeqBinaryTrie d(128);

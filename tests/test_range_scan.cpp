@@ -19,7 +19,6 @@
 #include "baselines/seq_binary_trie.hpp"
 #include "baselines/versioned_trie.hpp"
 #include "ebr_test_util.hpp"
-#include "query/bidi_trie.hpp"
 #include "query/range_scan.hpp"
 #include "relaxed/relaxed_trie.hpp"
 #include "shard/ordered_set.hpp"
@@ -109,8 +108,8 @@ TEST(RangeScan, RelaxedTrie) {
   range_scan_differential(s, 1 << 8, 6000, 308);
 }
 
-TEST(RangeScan, BidiTrie) {
-  BidiTrie s(1 << 9);
+TEST(RangeScan, LockFreeBinaryTrie) {
+  LockFreeBinaryTrie s(1 << 9);
   range_scan_differential(s, 1 << 9, 8000, 309);
 }
 

@@ -73,14 +73,39 @@ TEST(Stats, AggregateSumsAcrossThreads) {
 }
 
 TEST(Stats, ArithmeticOperators) {
-  StepCounts a{10, 5, 3, 2, 1, 0};
-  StepCounts b{4, 2, 1, 1, 0, 0};
+  // Positional initialisation pins the field order; a new counter must be
+  // added here too, or this assertion fails.
+  static_assert(sizeof(StepCounts) == 17 * sizeof(uint64_t));
+  const StepCounts a{10, 20, 30, 40, 50, 60, 70, 80, 90,
+                     100, 110, 120, 130, 140, 150, 160, 170};
+  const StepCounts b{1, 2, 3, 4, 5, 6, 7, 8, 9,
+                     10, 11, 12, 13, 14, 15, 16, 17};
+  const auto expect_each = [](const StepCounts& c, uint64_t scale) {
+    EXPECT_EQ(c.reads, 1 * scale);
+    EXPECT_EQ(c.cas_attempts, 2 * scale);
+    EXPECT_EQ(c.cas_successes, 3 * scale);
+    EXPECT_EQ(c.min_writes, 4 * scale);
+    EXPECT_EQ(c.helps, 5 * scale);
+    EXPECT_EQ(c.trie_restarts, 6 * scale);
+    EXPECT_EQ(c.scan_ops, 7 * scale);
+    EXPECT_EQ(c.scan_keys, 8 * scale);
+    EXPECT_EQ(c.atomic_scans, 9 * scale);
+    EXPECT_EQ(c.scan_retries, 10 * scale);
+    EXPECT_EQ(c.scan_fallbacks, 11 * scale);
+    EXPECT_EQ(c.query_helpers, 12 * scale);
+    EXPECT_EQ(c.fused_queries, 13 * scale);
+    EXPECT_EQ(c.query_node_allocs, 14 * scale);
+    EXPECT_EQ(c.batch_flushes, 15 * scale);
+    EXPECT_EQ(c.batch_ops, 16 * scale);
+    EXPECT_EQ(c.batch_coalesced, 17 * scale);
+  };
   StepCounts d = a - b;
-  EXPECT_EQ(d.reads, 6u);
-  EXPECT_EQ(d.cas_attempts, 3u);
+  expect_each(d, 9);
   d += b;
-  EXPECT_EQ(d.reads, 10u);
-  EXPECT_EQ(a.total(), 10u + 5u + 2u);
+  expect_each(d, 10);
+  d += a;
+  expect_each(d, 20);
+  EXPECT_EQ(a.total(), 10u + 20u + 40u);
 }
 
 TEST(Stats, ResetZeroesEverything) {

@@ -22,7 +22,6 @@
 #include "baselines/versioned_trie.hpp"
 #include "core/lockfree_trie.hpp"
 #include "ebr_test_util.hpp"
-#include "query/bidi_trie.hpp"
 #include "query/mirrored_trie.hpp"
 #include "relaxed/relaxed_trie.hpp"
 #include "shard/sharded_trie.hpp"
@@ -145,23 +144,16 @@ TEST(Successor, NativeRangeScanWalk) {
   }
 }
 
-// ---- The query layer: mirrored oracle and the retained alias ---------------
-
-TEST(Successor, MirroredTrie) {
-  MirroredTrie t(1 << 10);
-  successor_differential(t, plain_succ, 1 << 10, 20000, 210);
-}
-
-TEST(Successor, BidiTrie) {
-  BidiTrie t(1 << 10);
+TEST(Successor, LockFreeBinaryTrieNativeAltSeed) {
+  LockFreeBinaryTrie t(1 << 10);
   successor_differential(t, plain_succ, 1 << 10, 20000, 211);
 }
 
-TEST(Successor, BidiTrieBothDirectionsAgree) {
+TEST(Successor, LockFreeBinaryTrieBothDirectionsAgree) {
   // Both query directions must answer consistently with one std::set
-  // reference (trivially one abstract state now — BidiTrie is the core
-  // trie; kept as a regression net for the directional code paths).
-  BidiTrie t(1 << 9);
+  // reference (one abstract state; a regression net for the directional
+  // code paths).
+  LockFreeBinaryTrie t(1 << 9);
   std::set<Key> ref;
   Xoshiro256 rng(212);
   for (int i = 0; i < 20000; ++i) {
@@ -185,6 +177,13 @@ TEST(Successor, BidiTrieBothDirectionsAgree) {
       }
     }
   }
+}
+
+// ---- The mirrored oracle ---------------------------------------------------
+
+TEST(Successor, MirroredTrie) {
+  MirroredTrie t(1 << 10);
+  successor_differential(t, plain_succ, 1 << 10, 20000, 210);
 }
 
 TEST(Successor, ShardedTrie) {
@@ -365,8 +364,8 @@ void single_writer_successor_oracle(Set& set, Key universe, int readers,
   }
 }
 
-TEST(SuccessorLinearizability, BidiTrieSingleWriterOracle) {
-  BidiTrie t(48);
+TEST(SuccessorLinearizability, NativeSingleWriterOracleAltSeed) {
+  LockFreeBinaryTrie t(48);
   single_writer_successor_oracle(t, 48, /*readers=*/3, /*writer_ops=*/3000,
                                  /*reads_per_thread=*/4000, 217);
 }

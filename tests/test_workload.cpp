@@ -9,7 +9,7 @@
 #include "baselines/lf_skiplist.hpp"
 #include "baselines/locked_trie.hpp"
 #include "baselines/versioned_trie.hpp"
-#include "query/bidi_trie.hpp"
+#include "core/lockfree_trie.hpp"
 #include "relaxed/relaxed_trie.hpp"
 #include "shard/sharded_trie.hpp"
 #include "workload/harness.hpp"
@@ -127,7 +127,7 @@ TEST(Harness, TraversalMixRunsAndCountsScans) {
 
   // The same mix drives the paper's trie directly (native successor).
   Stats::reset();
-  auto res2 = bench_fresh<BidiTrie>(cfg);
+  auto res2 = bench_fresh<LockFreeBinaryTrie>(cfg);
   EXPECT_EQ(res2.total_ops, 8000u);
   EXPECT_GT(res2.steps.scan_ops, 1000u);
 }
@@ -155,9 +155,9 @@ void traversal_mix_smoke() {
 TEST(Harness, TraversalMixAcrossEveryTraversableStructure) {
   // The acceptance bar for the query subsystem: the workload harness
   // exercises successor AND range_scan against every traversable
-  // structure (BidiTrie == the paper's trie, native successor). Tiny op
+  // structure (the paper's trie with its native successor first). Tiny op
   // counts — this is a does-it-run-everywhere gate, not a benchmark.
-  traversal_mix_smoke<BidiTrie>();
+  traversal_mix_smoke<LockFreeBinaryTrie>();
   traversal_mix_smoke<ShardedTrie>();
   traversal_mix_smoke<RelaxedBinaryTrie>();
   traversal_mix_smoke<SeqBinaryTrie>();
