@@ -134,7 +134,7 @@ bool LockFreeBinaryTrie::contains(Key x) {
   // The guard is new with update-node pooling: latest-list nodes may now
   // be recycled, and find_latest dereferences them.
   ebr::Guard guard;
-  return core_.find_latest(x)->type == NodeType::kIns;
+  return core_.search(x);
 }
 
 void LockFreeBinaryTrie::announce(UpdateNode* u) {
@@ -177,7 +177,7 @@ void LockFreeBinaryTrie::help_activate(UpdateNode* u) {
 void LockFreeBinaryTrie::insert(Key x) {
   assert(x >= 0 && x < core_.universe());
   ebr::Guard guard;
-  UpdateNode* d_node = core_.find_latest(x);
+  UpdateNode* d_node = core_.find_latest_materialized(x);
   if (d_node->type != NodeType::kDel) return;  // l.164: x already in S
   UpdateNode* i_node = InsNodePool::acquire(x);
   i_node->latest_next.store(d_node);  // l.167
@@ -220,7 +220,7 @@ void LockFreeBinaryTrie::erase(Key x) {
   assert(x >= 0 && x < core_.universe());
   ebr::Guard guard;
   UpdateNode* i_node = core_.find_latest(x);
-  if (i_node->type != NodeType::kIns) return;  // l.183: x not in S
+  if (i_node == nullptr || i_node->type != NodeType::kIns) return;  // l.183
   QueryAnswer q1 = query_helper_fused(x, QueryDir::kBoth);  // l.184 + mirror
   DelNode* d_node = DelNodePool::acquire(x, core_.b());
   d_node->latest_next.store(i_node);     // l.187
@@ -702,7 +702,7 @@ Key LockFreeBinaryTrie::bottom_fallback(Key y, bool is_pred,
 
 bool LockFreeBinaryTrie::stall_insert_for_test(Key x) {
   ebr::Guard guard;
-  UpdateNode* d_node = core_.find_latest(x);
+  UpdateNode* d_node = core_.find_latest_materialized(x);
   if (d_node->type != NodeType::kDel) return false;
   UpdateNode* i_node = InsNodePool::acquire(x);
   i_node->latest_next.store(d_node);
@@ -722,7 +722,7 @@ bool LockFreeBinaryTrie::stall_insert_for_test(Key x) {
 bool LockFreeBinaryTrie::stall_delete_for_test(Key x) {
   ebr::Guard guard;
   UpdateNode* i_node = core_.find_latest(x);
-  if (i_node->type != NodeType::kIns) return false;
+  if (i_node == nullptr || i_node->type != NodeType::kIns) return false;
   QueryAnswer q1 = query_helper_fused(x, QueryDir::kBoth);
   DelNode* d_node = DelNodePool::acquire(x, core_.b());
   d_node->latest_next.store(i_node);

@@ -32,13 +32,13 @@ class RelaxedBinaryTrie {
   /// Paper TrieSearch (l.15–18). O(1) worst case.
   bool contains(Key x) {
     assert(x >= 0 && x < core_.universe());
-    return core_.find_latest(x)->type == NodeType::kIns;
+    return core_.search(x);
   }
 
   /// Paper TrieInsert (l.28–37).
   void insert(Key x) {
     assert(x >= 0 && x < core_.universe());
-    UpdateNode* d_node = core_.find_latest(x);
+    UpdateNode* d_node = core_.find_latest_materialized(x);
     if (d_node->type != NodeType::kDel) return;  // x already in S
     auto* i_node = arena_.create<UpdateNode>(x, NodeType::kIns);
     i_node->status.store(UpdateNode::kActive, std::memory_order_relaxed);
@@ -54,7 +54,7 @@ class RelaxedBinaryTrie {
   void erase(Key x) {
     assert(x >= 0 && x < core_.universe());
     UpdateNode* i_node = core_.find_latest(x);
-    if (i_node->type != NodeType::kIns) return;  // x not in S
+    if (i_node == nullptr || i_node->type != NodeType::kIns) return;  // x not in S
     auto* d_node = arena_.create<DelNode>(x, core_.b());
     d_node->status.store(UpdateNode::kActive, std::memory_order_relaxed);
     d_node->latest_next.store(i_node);

@@ -14,13 +14,22 @@
 // array of dNodePtr words (paper line 114); leaves have no storage — the
 // interpreted bit of leaf x is derived from latest[x].
 //
-// Lazy dummies. The paper initialises latest[x] and every dNodePtr with
-// dummy DEL nodes. We materialise them on first touch instead (a CAS from
-// null), which keeps untouched regions of a large universe free: a dummy
-// fabricated late is semantically an "older than everything" DEL node,
-// exactly the initial state. Fabricated dNodePtr dummies are only used
-// for their key and CAS identity; interpreted bits always go through
-// latest[key].
+// Null is the initial dummy. The paper initialises latest[x] and every
+// dNodePtr[t] with a dummy DEL node (l.114). Both arrays here start null,
+// and a null word *is* that dummy, so reads never allocate:
+//  * dNodePtr[t]. Its dummy is used only for its key and its CAS identity.
+//    The key is the leftmost leaf of t's subtrie, dkey(t, d) = d ? d->key
+//    : leftmost(t), and DeleteBinaryTrie CASes from null directly. Slots
+//    are only ever CASed to real DEL nodes, never back to null, so a CAS
+//    from null succeeds iff the slot was never written: no ABA.
+//  * latest[x]. Read-only paths (interpreted_bit, first_activated, search
+//    and the not-present return of both erases) read null as an Active,
+//    first-activated DEL node with upper0 = b and lower1 = b+1: the
+//    dummy's initial state, which only a holder of a real node can change.
+//    A dummy is materialised, by a CAS from null, only where a real node
+//    is required (find_latest_materialized): Insert's claiming CAS and
+//    latestNext (l.164–170), and InsertBinaryTrie's pin and lower1
+//    min-write (l.43). See docs/DESIGN.md, "Null as the initial DEL node".
 #pragma once
 
 #include <atomic>
@@ -66,12 +75,10 @@ class TrieCore {
   }
   bool is_leaf(uint64_t t) const noexcept { return t >= leaf_base_; }
 
-  /// latest[x] with lazy dummy installation; never returns null.
+  /// latest[x]; null is the initial dummy DEL node (see the header).
   UpdateNode* read_latest(Key x) {
     Stats::count_read();
-    UpdateNode* n = latest_[x].load();
-    if (n == nullptr) n = install_latest_dummy(x);
-    return n;
+    return latest_[x].load();
   }
 
   /// CAS on latest[x] (paper l.35/54/170/192).
@@ -82,10 +89,10 @@ class TrieCore {
   }
 
   /// Paper FindLatest (l.116–120): first activated node of the latest[x]
-  /// list.
+  /// list, or null for the initial dummy.
   UpdateNode* find_latest(Key x) {
     UpdateNode* u = read_latest(x);
-    if (u->status.load() == UpdateNode::kInactive) {
+    if (u != nullptr && u->status.load() == UpdateNode::kInactive) {
       Stats::count_read();
       UpdateNode* next = u->latest_next.load();
       Stats::count_read();
@@ -94,21 +101,41 @@ class TrieCore {
     return u;
   }
 
-  /// Paper FirstActivated (l.125–127).
+  /// FindLatest for the paths that need a real node: a null latest[x] gets
+  /// its initial dummy (Active, completed, upper0 = b, lower1 = b+1) by a
+  /// CAS from null. A lost CAS leaves the spare dummy in the arena; the
+  /// slot is then non-null for good. Never returns null.
+  UpdateNode* find_latest_materialized(Key x) {
+    if (UpdateNode* u = find_latest(x)) return u;
+    DelNode* d = arena_->create<DelNode>(x, b_);
+    d->status.store(UpdateNode::kActive, std::memory_order_relaxed);
+    d->completed.store(true, std::memory_order_relaxed);
+    d->upper0.store(b_, std::memory_order_relaxed);
+    return cas_latest(x, nullptr, d) ? d : find_latest(x);
+  }
+
+  /// Paper Search (l.121–124): a null or DEL first-activated node is "absent".
+  bool search(Key x) {
+    UpdateNode* u = find_latest(x);
+    return u != nullptr && u->type == NodeType::kIns;
+  }
+
+  /// Paper FirstActivated (l.125–127). n is a real node, so a null
+  /// latest[n.key] (the initial dummy) is not n.
   bool first_activated(UpdateNode* n) {
     UpdateNode* u = read_latest(n->key);
     if (u == n) return true;
+    if (u == nullptr) return false;
     Stats::count_read(2);
     return u->status.load() == UpdateNode::kInactive && u->latest_next.load() == n;
   }
 
-  /// Paper InterpretedBit (l.22–27).
+  /// Paper InterpretedBit (l.22–27). The initial dummy reads 0 at every
+  /// height.
   bool interpreted_bit(uint64_t t) {
-    if (is_leaf(t)) {
-      return find_latest(static_cast<Key>(t - leaf_base_))->type == NodeType::kIns;
-    }
-    DelNode* d = read_dnodeptr(t);
-    UpdateNode* u = find_latest(d->key);
+    if (is_leaf(t)) return search(static_cast<Key>(t - leaf_base_));
+    UpdateNode* u = find_latest(dkey(t, read_dnodeptr(t)));
+    if (u == nullptr) return false;
     if (u->type == NodeType::kIns) return true;
     auto* dn = static_cast<DelNode*>(u);
     const uint32_t h = height(t);
@@ -128,7 +155,7 @@ class TrieCore {
     while (t > 1) {
       t >>= 1;
       DelNode* d = read_dnodeptr(t);
-      UpdateNode* u = find_latest(d->key);
+      UpdateNode* u = find_latest_materialized(dkey(t, d));
       if (u->type != NodeType::kDel) continue;
       auto* dn = static_cast<DelNode*>(u);
       const uint32_t h = height(t);
@@ -308,56 +335,28 @@ class TrieCore {
   }
 
  private:
-  UpdateNode* install_latest_dummy(Key x) {
-    DelNode* d = make_dummy(x);
-    UpdateNode* expected = nullptr;
-    if (latest_[x].compare_exchange_strong(
-            expected, static_cast<UpdateNode*>(d))) {
-      Stats::count_cas(true);
-      return d;
-    }
-    return expected;
-  }
-
+  /// dNodePtr[t]; null is t's initial dummy.
   DelNode* read_dnodeptr(uint64_t t) {
     Stats::count_read();
-    DelNode* d = dnodeptr_[t].load();
-    if (d == nullptr) {
-      // Fabricate the initial dummy for this internal node: a DEL node of
-      // the leftmost leaf key in its subtrie, older than every real op.
-      const Key l = static_cast<Key>((t << height(t)) - leaf_base_);
-      DelNode* dummy = make_dummy(l);
-      dummy->try_pin();  // residency pin, matching cas_dnodeptr's protocol
-      if (dnodeptr_[t].compare_exchange_strong(d, dummy)) {
-        Stats::count_cas(true);
-        return dummy;
-      }
-      unpin_update(dummy);  // lost; the dummy stays in the arena
-      // d now holds the winning value.
-    }
-    return d;
+    return dnodeptr_[t].load();
+  }
+
+  /// Key of dNodePtr[t]'s node: a null slot (t's initial dummy) has the
+  /// leftmost leaf key of t's subtrie.
+  Key dkey(uint64_t t, const DelNode* d) const noexcept {
+    return d != nullptr ? d->key : static_cast<Key>((t << height(t)) - leaf_base_);
   }
 
   /// dNodePtr residency holds one pin per slot: `desired` is pinned
   /// before the CAS (it is the caller's own live node, so try_pin cannot
   /// fail), the displaced node's residency pin is dropped on success,
-  /// desired's fresh pin on failure.
+  /// desired's fresh pin on failure. A null `expected` holds no pin.
   bool cas_dnodeptr(uint64_t t, DelNode* expected, DelNode* desired) {
     desired->try_pin();
     bool ok = dnodeptr_[t].compare_exchange_strong(expected, desired);
     Stats::count_cas(ok);
-    unpin_update(ok ? static_cast<UpdateNode*>(expected) : desired);
+    if (DelNode* drop = ok ? expected : desired) unpin_update(drop);
     return ok;
-  }
-
-  /// A dummy DEL node: Active, completed, interpreted bit 0 at every
-  /// height (upper0 = b, lower1 = b+1).
-  DelNode* make_dummy(Key x) {
-    DelNode* d = arena_->create<DelNode>(x, b_);
-    d->status.store(UpdateNode::kActive, std::memory_order_relaxed);
-    d->completed.store(true, std::memory_order_relaxed);
-    d->upper0.store(b_, std::memory_order_relaxed);
-    return d;
   }
 
   const Key u_;

@@ -18,7 +18,7 @@ TEST(Helping, InsertHelpsStalledPreActivationInsert) {
   // Crash point: after the latest[x] CAS, before announcement/activation.
   LockFreeBinaryTrie t(64);
   TrieCore& core = t.core_for_test();
-  UpdateNode* dummy = core.read_latest(5);
+  UpdateNode* dummy = core.find_latest_materialized(5);
   auto* stalled = core.arena().create<UpdateNode>(5, NodeType::kIns);
   stalled->latest_next.store(dummy);
   ASSERT_TRUE(core.cas_latest(5, dummy, stalled));

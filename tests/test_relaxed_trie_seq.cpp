@@ -113,7 +113,7 @@ TEST(RelaxedTrieSeq, MaxQueryAtUniverseBoundary) {
 }
 
 TEST(RelaxedTrieSeq, MemoryGrowsWithOpsNotUniverse) {
-  // Lazy dummies: a sparse workload on a large universe must not allocate
+  // Null dummies: a sparse workload on a large universe must not allocate
   // per-key state for untouched keys.
   RelaxedBinaryTrie big(Key{1} << 22);
   for (Key k = 0; k < 100; ++k) big.insert(k * 37);

@@ -1,9 +1,13 @@
-// White-box tests of TrieCore: index arithmetic, lazy dummies, latest-list
-// helpers, interpreted-bit transitions, and the InsertBinaryTrie /
-// DeleteBinaryTrie stop/boundary protocol.
+// White-box tests of TrieCore: index arithmetic, null initial dummies,
+// latest-list helpers, interpreted-bit transitions, and the
+// InsertBinaryTrie / DeleteBinaryTrie stop/boundary protocol.
 #include "relaxed/trie_core.hpp"
 
 #include <gtest/gtest.h>
+
+#include "core/lockfree_trie.hpp"
+#include "relaxed/relaxed_trie.hpp"
+#include "stress_util.hpp"
 
 namespace lfbt {
 namespace {
@@ -35,26 +39,31 @@ TEST_F(TrieCoreTest, NonPowerOfTwoUniverseRoundsUp) {
   EXPECT_EQ(core.leaf_base(), 128u);
 }
 
-TEST_F(TrieCoreTest, LazyDummiesMakeAllBitsZeroInitially) {
+TEST_F(TrieCoreTest, NullDummiesMakeAllBitsZeroInitially) {
   TrieCore core(64, arena_);
   for (uint64_t t = 1; t < 128; ++t) {
     EXPECT_FALSE(core.interpreted_bit(t)) << t;
   }
+  EXPECT_EQ(core.read_latest(7), nullptr);
+  EXPECT_EQ(arena_.bytes_reserved(), 0u);  // reads fabricate nothing
 }
 
-TEST_F(TrieCoreTest, ReadLatestInstallsOneDummyPerKey) {
+TEST_F(TrieCoreTest, MaterialisedLatestDummyIsInstalledOncePerKey) {
   TrieCore core(64, arena_);
-  UpdateNode* a = core.read_latest(7);
-  UpdateNode* b = core.read_latest(7);
+  UpdateNode* a = core.find_latest_materialized(7);
+  UpdateNode* b = core.find_latest_materialized(7);
   EXPECT_EQ(a, b);
+  EXPECT_EQ(core.read_latest(7), a);
   EXPECT_EQ(a->key, 7);
   EXPECT_EQ(a->type, NodeType::kDel);
   EXPECT_EQ(a->status.load(), UpdateNode::kActive);
+  EXPECT_TRUE(core.first_activated(a));
+  EXPECT_FALSE(core.search(7));
 }
 
 TEST_F(TrieCoreTest, FindLatestSkipsInactiveHead) {
   TrieCore core(64, arena_);
-  UpdateNode* dummy = core.read_latest(3);
+  UpdateNode* dummy = core.find_latest_materialized(3);
   auto* inactive = arena_.create<UpdateNode>(3, NodeType::kIns);
   inactive->latest_next.store(dummy);
   ASSERT_TRUE(core.cas_latest(3, dummy, inactive));
@@ -74,7 +83,7 @@ TEST_F(TrieCoreTest, FindLatestSkipsInactiveHead) {
 
 TEST_F(TrieCoreTest, InsertBinaryTrieRaisesWholePath) {
   TrieCore core(16, arena_);
-  UpdateNode* dummy = core.read_latest(5);
+  UpdateNode* dummy = core.find_latest_materialized(5);
   auto* ins = arena_.create<UpdateNode>(5, NodeType::kIns);
   ins->status.store(UpdateNode::kActive);
   ASSERT_TRUE(core.cas_latest(5, dummy, ins));
@@ -180,6 +189,68 @@ TEST_F(TrieCoreTest, RelaxedPredecessorOnCoreDirectly) {
   EXPECT_EQ(core.relaxed_successor(-1), 2);
   EXPECT_EQ(core.relaxed_successor(2), 9);
   EXPECT_EQ(core.relaxed_successor(9), kNoKey);
+}
+
+// Every read of a fresh trie sees only null words (the initial dummies)
+// and must not fabricate nodes: the arena stays exactly as constructed.
+template <class Trie>
+void expect_reads_do_not_grow_arena() {
+  constexpr Key kU = Key{1} << 12;
+  Trie t(kU);
+  const std::size_t before = t.memory_reserved();
+  for (Key k = 0; k < kU; ++k) {
+    EXPECT_FALSE(t.contains(k));
+    EXPECT_EQ(t.predecessor(k + 1), kNoKey);
+    EXPECT_EQ(t.successor(k - 1), kNoKey);
+    t.erase(k);  // absent: returns at the not-present check
+  }
+  EXPECT_EQ(t.memory_reserved(), before);
+}
+
+TEST(NullDummies, ReadsDoNotGrowTheArenaLockFree) {
+  expect_reads_do_not_grow_arena<LockFreeBinaryTrie>();
+}
+
+TEST(NullDummies, ReadsDoNotGrowTheArenaRelaxed) {
+  expect_reads_do_not_grow_arena<RelaxedBinaryTrie>();
+}
+
+// First writes on null slots, raced. Keys 0..15 of a 64-key universe
+// share the root and their ancestors; the even keys are inserted first,
+// which writes no dNodePtr (only DeleteBinaryTrie does), so the race's
+// deleters CAS dNodePtr words from null while inserters materialise latest
+// dummies under the same ancestors. Each trie is fresh and is destroyed
+// with the words of keys 16..63 still null.
+template <class Trie>
+void race_first_writes(uint64_t seed, int pred_weight, int succ_weight) {
+  Trie trie(64);
+  for (Key k = 0; k < 16; k += 2) trie.insert(k);
+  testutil::StressSpec spec;
+  spec.universe = 16;
+  spec.threads = 4;
+  spec.ops_per_round = 12;
+  spec.rounds = 3;
+  spec.pred_weight = pred_weight;
+  spec.succ_weight = succ_weight;
+  spec.contains_weight = 10;
+  spec.seed = seed;
+  testutil::linearizability_stress(trie, spec);  // Wing–Gong per round
+  TrieCore& core = trie.core_for_test();
+  for (uint64_t node = 1; node < core.leaf_base(); ++node) {  // IB0/IB1
+    ASSERT_EQ(core.interpreted_bit(node), core.quiescent_bit_reference(node))
+        << "seed " << seed << " node " << node;
+  }
+  EXPECT_EQ(core.read_latest(40), nullptr);
+}
+
+TEST(NullDummies, ConcurrentFirstWritesOnNullSlots) {
+  for (uint64_t seed = 1; seed <= 100; ++seed) {
+    race_first_writes<LockFreeBinaryTrie>(seed, 20, 20);
+    // The relaxed trie's predecessor is not linearizable (Section 4.1):
+    // only its updates and contains enter the Wing–Gong history.
+    race_first_writes<RelaxedBinaryTrie>(seed, 0, 0);
+    if (HasFatalFailure()) return;
+  }
 }
 
 }  // namespace
